@@ -5,7 +5,7 @@
 //! functional executor must produce bit-identical distributed data — and,
 //! with `--features sanitize`, identical replay digests — across
 //! `FFT_SIMD=off/avx2/avx512` (tiers the host lacks are skipped) crossed
-//! with executor thread counts {1, 4}, over pow2, mixed-radix, and
+//! with executor thread counts {1, 4}, over pow2, smooth, and
 //! Bluestein per-axis lengths in both packed and strided local-FFT modes.
 //!
 //! Tier forcing is process-global; all tests in this file serialize on
@@ -31,7 +31,7 @@ fn available_tiers() -> Vec<SimdTier> {
 }
 
 /// The grids under test: pow2 axes (Stockham direct), smooth non-pow2 axes
-/// (mixed-radix, whose pow2 sub-lengths ride Stockham), and a prime axis
+/// (Stockham with radix-3/5/7 stages after the pow2 ones), and a prime axis
 /// (Bluestein, whose chirp convolution is a pow2 Stockham transform). Axis
 /// 2 runs packed, axes 0/1 strided — both local-FFT modes per grid.
 const GRIDS: [[usize; 3]; 3] = [[16, 16, 8], [12, 10, 14], [13, 16, 8]];

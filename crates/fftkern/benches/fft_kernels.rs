@@ -53,10 +53,12 @@ fn bench_3d(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_non_pow2(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fft_1d_awkward");
-    // Smooth (mixed-radix) vs prime (Bluestein) near the same size.
-    for &n in &[480usize, 499] {
+fn bench_smooth_vs_prime(c: &mut Criterion) {
+    // Smooth lengths (radix-3/5/7 Stockham stages) next to the pow2 512
+    // and a prime (Bluestein) near 480/500. GFLOP/s = 5·n·log₂n / median.
+    let mut group = c.benchmark_group("fft_1d_smooth_vs_prime");
+    for &n in &[96usize, 384, 480, 500, 512, 729, 499] {
+        group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let plan = Plan1d::contiguous(n, 1);
             let mut data = signal(n);
@@ -71,6 +73,6 @@ criterion_group!(
     bench_1d_sizes,
     bench_batched_contiguous_vs_strided,
     bench_3d,
-    bench_non_pow2
+    bench_smooth_vs_prime
 );
 criterion_main!(benches);

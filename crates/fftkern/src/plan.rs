@@ -8,7 +8,6 @@
 
 use crate::bluestein::BluesteinPlan;
 use crate::complex::C64;
-use crate::mixed::MixedPlan;
 use crate::radix::Radix2Plan;
 use crate::stockham::StockhamPlan;
 
@@ -55,18 +54,22 @@ impl Direction {
 /// Which kernel engine a plan builds on — the FFTW-style "planner" knob.
 ///
 /// `Auto` is the production engine; `Legacy` pins the pre-overhaul scalar
-/// radix-2 path (bit-reversal permutation, per-line gather/scatter) so
-/// benchmarks and tests can A/B the engine overhaul against a faithful
-/// baseline instead of a synthetic slowdown.
+/// radix-2 path (bit-reversal permutation, per-line gather/scatter) for
+/// power-of-two lengths so benchmarks and tests can A/B the engine overhaul
+/// against a faithful baseline instead of a synthetic slowdown. Every other
+/// length builds the same algorithm under both engines: Stockham for smooth
+/// lengths, Bluestein (over Stockham kernels) otherwise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum Engine {
-    /// Planner's choice: Stockham autosort (radix-8/4/2) for powers of two,
-    /// mixed-radix for smooth sizes, Bluestein otherwise — with cache-blocked
-    /// batched/strided execution.
+    /// Planner's choice: Stockham autosort (radix-8/4/2, then 3/5/7) for
+    /// smooth sizes, Bluestein otherwise — with cache-blocked batched/strided
+    /// execution.
     #[default]
     Auto,
-    /// The seed engine: scalar radix-2 Cooley–Tukey with a bit-reversal pass
-    /// and per-line gather/scatter, kept as reference and benchmark baseline.
+    /// The seed engine for powers of two: scalar radix-2 Cooley–Tukey with a
+    /// bit-reversal pass and per-line gather/scatter, kept as reference and
+    /// benchmark baseline. Non-power-of-two lengths run the `Auto`
+    /// algorithms through the per-line path.
     Legacy,
 }
 
@@ -85,47 +88,37 @@ impl Engine {
 enum Algo {
     Stockham(StockhamPlan),
     Radix2(Radix2Plan),
-    Mixed(MixedPlan),
     Bluestein(BluesteinPlan),
 }
 
 impl Algo {
     fn for_len(n: usize, engine: Engine) -> Algo {
-        if n.is_power_of_two() {
-            match engine {
-                Engine::Auto => Algo::Stockham(StockhamPlan::new(n)),
-                Engine::Legacy => Algo::Radix2(Radix2Plan::new(n)),
-            }
+        if engine == Engine::Legacy && n.is_power_of_two() {
+            Algo::Radix2(Radix2Plan::new(n))
         } else if crate::is_smooth(n) {
-            Algo::Mixed(MixedPlan::new(n))
+            Algo::Stockham(StockhamPlan::new(n))
         } else {
             Algo::Bluestein(BluesteinPlan::new(n))
         }
     }
 
-    /// Scratch sizes (elements) this algorithm needs per transform:
-    /// `(out_buf, aux_buf)`.
-    fn scratch_len(&self) -> (usize, usize) {
+    /// Work-buffer elements this algorithm needs per transform.
+    fn scratch_len(&self) -> usize {
         match self {
-            Algo::Stockham(p) => (p.scratch_elems(), 0),
-            Algo::Radix2(_) => (0, 0),
-            Algo::Mixed(p) => (p.len(), p.len()),
-            Algo::Bluestein(p) => (p.scratch_elems(), 0),
+            Algo::Stockham(p) => p.scratch_elems(),
+            Algo::Radix2(_) => 0,
+            Algo::Bluestein(p) => p.scratch_elems(),
         }
     }
 
     /// Executes one transform reusing caller-provided scratch (sized by
     /// [`scratch_len`](Algo::scratch_len)) — no allocation per row, which
-    /// matters in batched executions of non-power-of-two lengths.
-    fn execute_scratch(&self, data: &mut [C64], dir: Direction, a: &mut [C64], b: &mut [C64]) {
+    /// matters in batched executions.
+    fn execute_scratch(&self, data: &mut [C64], dir: Direction, work: &mut [C64]) {
         match self {
-            Algo::Stockham(p) => p.execute_scratch(data, dir, a),
+            Algo::Stockham(p) => p.execute_scratch(data, dir, work),
             Algo::Radix2(p) => p.execute(data, dir),
-            Algo::Mixed(p) => {
-                p.execute_strided(data, 1, a, b, dir);
-                data.copy_from_slice(&a[..data.len()]);
-            }
-            Algo::Bluestein(p) => p.execute_with_scratch(data, dir, a),
+            Algo::Bluestein(p) => p.execute_with_scratch(data, dir, work),
         }
     }
 
@@ -133,7 +126,6 @@ impl Algo {
         match self {
             Algo::Stockham(_) => "stockham",
             Algo::Radix2(_) => "radix2",
-            Algo::Mixed(_) => "mixed-radix",
             Algo::Bluestein(_) => "bluestein",
         }
     }
@@ -257,14 +249,13 @@ impl Plan1d {
     /// Algorithm plus the butterfly tier the dispatcher would use *right
     /// now* (e.g. `"stockham+avx512"`), for probes and bench stamps. The
     /// tier is resolved per transform, not baked into the plan, so this
-    /// reflects the current `FFT_SIMD`/force state; the legacy engine and
-    /// the non-Stockham algorithms never dispatch, so they report plain
-    /// `"<algo>+scalar"`.
+    /// reflects the current `FFT_SIMD`/force state. Stockham and Bluestein
+    /// (whose convolution runs Stockham) dispatch under either engine; the
+    /// legacy radix-2 path never does, so it reports `"radix2+scalar"`.
     pub fn kernel_desc(&self) -> String {
-        let tier = if matches!(self.engine, Engine::Auto) {
-            crate::simd::active_tier()
-        } else {
-            crate::simd::SimdTier::Scalar
+        let tier = match self.algo {
+            Algo::Radix2(_) => crate::simd::SimdTier::Scalar,
+            _ => crate::simd::active_tier(),
         };
         format!("{}+{}", self.algo.name(), tier.name())
     }
@@ -305,8 +296,7 @@ impl Plan1d {
     /// the algorithm's work buffers plus one gather/scatter tile (which also
     /// serves as the row buffer of the unblocked fallback path).
     pub fn scratch_elems(&self) -> usize {
-        let (la, lb) = self.algo.scratch_len();
-        la + lb + self.tile_lines() * self.n
+        self.algo.scratch_len() + self.tile_lines() * self.n
     }
 
     /// Executes the batch out of place.
@@ -337,7 +327,7 @@ impl Plan1d {
             output.len(),
             self.required_output_len()
         );
-        let (sa, sb, tile) = self.split_scratch(scratch);
+        let (work, tile) = self.split_scratch(scratch);
         if self.engine != Engine::Legacy {
             if self.packed_rows() {
                 // Contiguous rows in and out: copy each row once, transform
@@ -345,7 +335,7 @@ impl Plan1d {
                 for b in 0..self.batch {
                     let row = &mut output[b * self.n..(b + 1) * self.n];
                     row.copy_from_slice(&input[b * self.n..(b + 1) * self.n]);
-                    self.algo.execute_scratch(row, dir, sa, sb);
+                    self.algo.execute_scratch(row, dir, work);
                 }
                 return;
             }
@@ -356,7 +346,7 @@ impl Plan1d {
                     let t = t_lines.min(self.batch - lo);
                     gather_tile(input, self.input.stride, lo, t, self.n, tile);
                     for r in tile[..t * self.n].chunks_exact_mut(self.n) {
-                        self.algo.execute_scratch(r, dir, sa, sb);
+                        self.algo.execute_scratch(r, dir, work);
                     }
                     scatter_tile(output, self.output.stride, lo, t, self.n, tile);
                     lo += t;
@@ -370,7 +360,7 @@ impl Plan1d {
             for (j, r) in row.iter_mut().enumerate() {
                 *r = input[ibase + j * self.input.stride];
             }
-            self.algo.execute_scratch(row, dir, sa, sb);
+            self.algo.execute_scratch(row, dir, work);
             let obase = b * self.output.dist;
             for (k, r) in row.iter().enumerate() {
                 output[obase + k * self.output.stride] = *r;
@@ -393,14 +383,14 @@ impl Plan1d {
             data.len() >= self.required_input_len().max(self.required_output_len()),
             "buffer too small for in-place batch"
         );
-        let (sa, sb, tile) = self.split_scratch(scratch);
+        let (work, tile) = self.split_scratch(scratch);
         if self.engine != Engine::Legacy {
             if self.packed_rows() {
                 // Packed contiguous rows transform directly in place — the
                 // whole batch runs with zero data movement beyond the
                 // butterflies themselves.
                 for row in data[..self.batch * self.n].chunks_exact_mut(self.n) {
-                    self.algo.execute_scratch(row, dir, sa, sb);
+                    self.algo.execute_scratch(row, dir, work);
                 }
                 return;
             }
@@ -411,7 +401,7 @@ impl Plan1d {
                     let t = t_lines.min(self.batch - lo);
                     gather_tile(data, self.input.stride, lo, t, self.n, tile);
                     for r in tile[..t * self.n].chunks_exact_mut(self.n) {
-                        self.algo.execute_scratch(r, dir, sa, sb);
+                        self.algo.execute_scratch(r, dir, work);
                     }
                     scatter_tile(data, self.output.stride, lo, t, self.n, tile);
                     lo += t;
@@ -425,7 +415,7 @@ impl Plan1d {
             for (j, r) in row.iter_mut().enumerate() {
                 *r = data[ibase + j * self.input.stride];
             }
-            self.algo.execute_scratch(row, dir, sa, sb);
+            self.algo.execute_scratch(row, dir, work);
             let obase = b * self.output.dist;
             for (k, r) in row.iter().enumerate() {
                 data[obase + k * self.output.stride] = *r;
@@ -456,11 +446,11 @@ impl Plan1d {
             data.len() >= self.required_input_len().max(self.required_output_len()),
             "buffer too small for in-place batch"
         );
-        let (sa, sb, tile) = self.split_scratch(scratch);
+        let (work, tile) = self.split_scratch(scratch);
         if self.engine != Engine::Legacy {
             if self.packed_rows() {
                 for row in data[lo * self.n..hi * self.n].chunks_exact_mut(self.n) {
-                    self.algo.execute_scratch(row, dir, sa, sb);
+                    self.algo.execute_scratch(row, dir, work);
                 }
                 return;
             }
@@ -471,7 +461,7 @@ impl Plan1d {
                     let t = t_lines.min(hi - base);
                     gather_tile(data, self.input.stride, base, t, self.n, tile);
                     for r in tile[..t * self.n].chunks_exact_mut(self.n) {
-                        self.algo.execute_scratch(r, dir, sa, sb);
+                        self.algo.execute_scratch(r, dir, work);
                     }
                     scatter_tile(data, self.output.stride, base, t, self.n, tile);
                     base += t;
@@ -485,7 +475,7 @@ impl Plan1d {
             for (j, r) in row.iter_mut().enumerate() {
                 *r = data[ibase + j * self.input.stride];
             }
-            self.algo.execute_scratch(row, dir, sa, sb);
+            self.algo.execute_scratch(row, dir, work);
             let obase = b * self.output.dist;
             for (k, r) in row.iter().enumerate() {
                 data[obase + k * self.output.stride] = *r;
@@ -512,20 +502,15 @@ impl Plan1d {
     }
 
     /// Splits caller scratch into the algorithm buffers and the tile buffer.
-    fn split_scratch<'s>(
-        &self,
-        scratch: &'s mut [C64],
-    ) -> (&'s mut [C64], &'s mut [C64], &'s mut [C64]) {
+    fn split_scratch<'s>(&self, scratch: &'s mut [C64]) -> (&'s mut [C64], &'s mut [C64]) {
         assert!(
             scratch.len() >= self.scratch_elems(),
             "scratch too small: {} < {}",
             scratch.len(),
             self.scratch_elems()
         );
-        let (la, lb) = self.algo.scratch_len();
-        let (sa, rest) = scratch.split_at_mut(la);
-        let (sb, rest) = rest.split_at_mut(lb);
-        (sa, sb, &mut rest[..self.tile_lines() * self.n])
+        let (work, rest) = scratch.split_at_mut(self.algo.scratch_len());
+        (work, &mut rest[..self.tile_lines() * self.n])
     }
 }
 
@@ -704,7 +689,7 @@ mod tests {
     #[test]
     fn algorithm_selection() {
         assert_eq!(Plan1d::contiguous(64, 1).algo_name(), "stockham");
-        assert_eq!(Plan1d::contiguous(60, 1).algo_name(), "mixed-radix");
+        assert_eq!(Plan1d::contiguous(60, 1).algo_name(), "stockham");
         assert_eq!(Plan1d::contiguous(13, 1).algo_name(), "bluestein");
         let legacy = Plan1d::with_engine(
             64,
@@ -714,6 +699,17 @@ mod tests {
             Engine::Legacy,
         );
         assert_eq!(legacy.algo_name(), "radix2");
+        assert_eq!(legacy.kernel_desc(), "radix2+scalar");
+        // Legacy pins radix-2 for powers of two only; smooth lengths build
+        // the same Stockham plan under both engines.
+        let legacy_smooth = Plan1d::with_engine(
+            96,
+            1,
+            Layout::contiguous(96),
+            Layout::contiguous(96),
+            Engine::Legacy,
+        );
+        assert_eq!(legacy_smooth.algo_name(), "stockham");
         assert_eq!(legacy.engine(), Engine::Legacy);
         assert_eq!(Plan1d::contiguous(64, 1).engine(), Engine::Auto);
         assert_eq!(Engine::Auto.name(), "auto");

@@ -13,6 +13,7 @@
 
 use crate::complex::C64;
 use crate::plan::{Direction, Plan1d};
+use crate::twiddle;
 
 /// Forward real-to-complex transform: `n` reals → `n/2 + 1` complex bins
 /// (the remaining bins are the conjugate mirror). `n` must be even and ≥ 2.
@@ -40,22 +41,25 @@ pub fn r2c_1d(input: &[f64]) -> Vec<C64> {
 /// 3-D one.
 pub fn untangle_half(z: &[C64], n: usize) -> Vec<C64> {
     let mut out = Vec::with_capacity(n / 2 + 1);
-    untangle_half_into(z, n, &mut out);
+    untangle_half_into(z, &twiddle::forward_table(n), &mut out);
     out
 }
 
 /// Appending form of [`untangle_half`] for callers that untangle many rows
-/// into one buffer (the distributed r2c pipeline) — no per-row allocation.
-pub fn untangle_half_into(z: &[C64], n: usize, out: &mut Vec<C64>) {
-    let h = n / 2;
+/// into one buffer (the distributed r2c pipeline) — no per-row allocation
+/// and no trig: `roots` is [`twiddle::forward_table`]`(n)`, fetched once
+/// per batch of rows, and `e^{-2πik/n}` is read as `roots[k]` (the table
+/// is built from that exact expression, so the result is bit-identical to
+/// evaluating it per bin).
+pub fn untangle_half_into(z: &[C64], roots: &[C64], out: &mut Vec<C64>) {
+    let h = roots.len() / 2;
     assert_eq!(z.len(), h, "packed spectrum must have n/2 bins");
     out.reserve(h + 1);
-    for k in 0..=h {
+    for (k, &w) in roots.iter().enumerate().take(h + 1) {
         let zk = if k == h { z[0] } else { z[k] };
         let zmk = z[(h - k % h) % h].conj();
         let e = (zk + zmk).scale(0.5);
         let o = (zk - zmk).scale(0.5) * C64::new(0.0, -1.0);
-        let w = C64::expi(-2.0 * std::f64::consts::PI * k as f64 / n as f64);
         out.push(e + w * o);
     }
 }
@@ -64,22 +68,22 @@ pub fn untangle_half_into(z: &[C64], n: usize, out: &mut Vec<C64>) {
 /// the `n/2 + 1` half bins, ready for an inverse FFT of length `n/2`.
 pub fn retangle_half(spectrum: &[C64], n: usize) -> Vec<C64> {
     let mut z = Vec::with_capacity(n / 2);
-    retangle_half_into(spectrum, n, &mut z);
+    retangle_half_into(spectrum, &twiddle::forward_table(n), &mut z);
     z
 }
 
-/// Appending form of [`retangle_half`] — see [`untangle_half_into`].
-pub fn retangle_half_into(spectrum: &[C64], n: usize, z: &mut Vec<C64>) {
-    let h = n / 2;
+/// Appending form of [`retangle_half`] — see [`untangle_half_into`];
+/// `e^{+2πik/n}` is read as `roots[k].conj()`.
+pub fn retangle_half_into(spectrum: &[C64], roots: &[C64], z: &mut Vec<C64>) {
+    let h = roots.len() / 2;
     assert_eq!(spectrum.len(), h + 1, "half spectrum must have n/2+1 bins");
     z.reserve(h);
-    for k in 0..h {
+    for (k, w) in roots.iter().enumerate().take(h) {
         let xk = spectrum[k];
         let xmk = spectrum[h - k].conj();
         let e = (xk + xmk).scale(0.5);
         // O[k] = (X[k] − conj(X[h−k]))/2 · w^{−k}, with w = e^{−2πi/n}.
-        let w_inv = C64::expi(2.0 * std::f64::consts::PI * k as f64 / n as f64);
-        let o = (xk - xmk).scale(0.5) * w_inv;
+        let o = (xk - xmk).scale(0.5) * w.conj();
         z.push(e + o * C64::I);
     }
 }
@@ -179,6 +183,46 @@ mod tests {
         let half = r2c_1d(&real_signal(n));
         assert!(half[0].im.abs() < 1e-10, "DC bin must be real");
         assert!(half[n / 2].im.abs() < 1e-10, "Nyquist bin must be real");
+    }
+
+    #[test]
+    fn table_twiddles_are_bit_identical_to_per_bin_trig() {
+        // Reading `e^{∓2πik/n}` from the interned root table must give
+        // exactly the bits of evaluating `expi` per bin.
+        use std::f64::consts::PI;
+        let bits = |v: &[C64]| -> Vec<(u64, u64)> {
+            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+        };
+        for n in [2usize, 6, 96, 512] {
+            let h = n / 2;
+            let z: Vec<C64> = (0..h)
+                .map(|j| C64::new((0.3 * j as f64).sin(), (1.1 * j as f64).cos()))
+                .collect();
+            let untangled: Vec<C64> = (0..=h)
+                .map(|k| {
+                    let zk = if k == h { z[0] } else { z[k] };
+                    let zmk = z[(h - k % h) % h].conj();
+                    let e = (zk + zmk).scale(0.5);
+                    let o = (zk - zmk).scale(0.5) * C64::new(0.0, -1.0);
+                    e + C64::expi(-2.0 * PI * k as f64 / n as f64) * o
+                })
+                .collect();
+            assert_eq!(bits(&untangle_half(&z, n)), bits(&untangled), "n={n}");
+
+            let retangled: Vec<C64> = (0..h)
+                .map(|k| {
+                    let (xk, xmk) = (untangled[k], untangled[h - k].conj());
+                    let e = (xk + xmk).scale(0.5);
+                    let w_inv = C64::expi(2.0 * PI * k as f64 / n as f64);
+                    e + (xk - xmk).scale(0.5) * w_inv * C64::I
+                })
+                .collect();
+            assert_eq!(
+                bits(&retangle_half(&untangled, n)),
+                bits(&retangled),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //! (`tests/simd_equivalence.rs`).
 //!
 //! Dispatch is per stage: the widest tier whose lane count divides the
-//! stage geometry runs, everything else falls back to scalar. Because every
-//! Stockham stage has power-of-two `s` (and `s ≥ 8` after the first stage),
-//! the vector loops never see a tail; the `s == 1` first stage gets its own
-//! kernel that vectorizes across the butterfly index `p` instead (loads are
-//! contiguous there, stores split per 128-bit complex).
+//! stage geometry runs, everything else falls back to scalar. The vector
+//! loops have no tail handling, so every kernel is gated on the exact
+//! divisibility it needs: the vector-across-`q` kernels (radix 2, 3, 4, 8)
+//! on `s % LANES == 0`, and the `s == 1` radix-8 first stage — which
+//! vectorizes across the butterfly index `p` instead (loads are contiguous
+//! there, stores split per 128-bit complex) — on `m % LANES == 0`. Smooth
+//! lengths fail both in practice: 48 = 8·2·3 has a first stage with
+//! `m = 6`, and 729 = 3⁶ has only odd `s`. Radix-5/7 stages always run
+//! scalar.
 //!
 //! The active tier is resolved once per process from CPU feature detection
 //! (`is_x86_feature_detected!`, cached in a [`OnceLock`]) and the `FFT_SIMD`
@@ -181,10 +185,11 @@ pub fn detected_features() -> String {
 }
 
 /// Runs one Stockham stage through the widest kernel `tier` allows, falling
-/// back per stage: AVX-512 handles `s ≥ 4` (and `s == 1` radix-8 with
-/// `m ≥ 4`), AVX2 handles `s ≥ 2` (and `s == 1` radix-8 with `m ≥ 2`),
-/// everything else — tiny first stages, non-x86 hosts, the scalar tier —
-/// returns `false` so the caller runs the scalar stage body.
+/// back per stage: AVX-512 handles `s % 4 == 0` (and `s == 1` radix-8 with
+/// `m % 4 == 0`), AVX2 handles `s % 2 == 0` (and `s == 1` radix-8 with
+/// `m % 2 == 0`), everything else — radix 5/7, odd `s`, tiny or ragged
+/// first stages, non-x86 hosts, the scalar tier — returns `false` so the
+/// caller runs the scalar stage body.
 // fftlint:hot — dispatched once per Stockham stage of every line.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 pub(crate) fn run_stage(
@@ -231,6 +236,7 @@ fn cj<const INV: bool>(w: C64) -> C64 {
 mod x86 {
     use super::cj;
     use crate::complex::C64;
+    use crate::stockham::S3;
     use crate::twiddle::StockhamStage;
 
     /// cos(π/4) = sin(π/4), the radix-8 `ω₈` constant (same as scalar).
@@ -507,7 +513,7 @@ mod x86 {
     macro_rules! stockham_simd_kernels {
         ($kname:ident, $p:ident, $feat:literal) => {
             mod $kname {
-                use super::{cj, $p, StockhamStage, C64, H};
+                use super::{cj, $p, StockhamStage, C64, H, S3};
 
                 /// `±i·z` per lane: swap re/im, flip the sign the scalar
                 /// `rot` flips. Copies and negations only — exact.
@@ -550,7 +556,7 @@ mod x86 {
                     tw: &[C64],
                 ) {
                     let (m, s) = (st.m, st.s);
-                    debug_assert!(s >= $p::LANES && s % $p::LANES == 0);
+                    debug_assert!(s % $p::LANES == 0);
                     let (lo, hi) = src.split_at(m * s);
                     for (p_row, &twp) in tw.iter().enumerate().take(m) {
                         let (wr, wi) = tw_splat::<INV>(twp);
@@ -578,7 +584,7 @@ mod x86 {
                     tw: &[C64],
                 ) {
                     let (m, s) = (st.m, st.s);
-                    debug_assert!(s >= $p::LANES && s % $p::LANES == 0);
+                    debug_assert!(s % $p::LANES == 0);
                     let ms = m * s;
                     for p_row in 0..m {
                         let (w1r, w1i) = tw_splat::<INV>(tw[3 * p_row]);
@@ -611,6 +617,44 @@ mod x86 {
                     }
                 }
 
+                /// Radix-3 stage, vectorized across the contiguous `q` loop:
+                /// the scalar `bfly3` plus twiddle step, op for op.
+                #[target_feature(enable = $feat)]
+                pub fn stage3<const INV: bool>(
+                    src: &[C64],
+                    dst: &mut [C64],
+                    st: &StockhamStage,
+                    tw: &[C64],
+                ) {
+                    let (m, s) = (st.m, st.s);
+                    debug_assert!(s % $p::LANES == 0);
+                    let ms = m * s;
+                    let (half, s3) = ($p::splat(0.5), $p::splat(S3));
+                    for p_row in 0..m {
+                        let (w1r, w1i) = tw_splat::<INV>(tw[2 * p_row]);
+                        let (w2r, w2i) = tw_splat::<INV>(tw[2 * p_row + 1]);
+                        let o = p_row * s;
+                        let x0 = &src[o..o + s];
+                        let x1 = &src[ms + o..ms + o + s];
+                        let x2 = &src[2 * ms + o..2 * ms + o + s];
+                        let (d0, d12) = dst[3 * o..3 * o + 3 * s].split_at_mut(s);
+                        let (d1, d2) = d12.split_at_mut(s);
+                        let mut q = 0;
+                        while q < s {
+                            let a = $p::load(x0, q);
+                            let b = $p::load(x1, q);
+                            let c = $p::load(x2, q);
+                            let t1 = $p::add(b, c);
+                            let t2 = $p::sub(a, $p::mul(t1, half));
+                            let t3 = rot::<INV>($p::mul($p::sub(b, c), s3));
+                            $p::store(d0, q, $p::add(a, t1));
+                            $p::store(d1, q, cmul($p::add(t2, t3), w1r, w1i));
+                            $p::store(d2, q, cmul($p::sub(t2, t3), w2r, w2i));
+                            q += $p::LANES;
+                        }
+                    }
+                }
+
                 /// Radix-8 stage (general `s`), vectorized across `q`.
                 #[target_feature(enable = $feat)]
                 pub fn stage8<const INV: bool>(
@@ -620,7 +664,7 @@ mod x86 {
                     tw: &[C64],
                 ) {
                     let (m, s) = (st.m, st.s);
-                    debug_assert!(s >= $p::LANES && s % $p::LANES == 0);
+                    debug_assert!(s % $p::LANES == 0);
                     let ms = m * s;
                     let (w81, w83) = if INV {
                         (C64::new(H, H), C64::new(-H, H))
@@ -702,7 +746,7 @@ mod x86 {
                     tw: &[C64],
                 ) {
                     let m = st.m;
-                    debug_assert!(st.s == 1 && m >= $p::LANES && m % $p::LANES == 0);
+                    debug_assert!(st.s == 1 && m % $p::LANES == 0);
                     let (w81, w83) = if INV {
                         (C64::new(H, H), C64::new(-H, H))
                     } else {
@@ -764,11 +808,10 @@ mod x86 {
     stockham_simd_kernels!(k256, p256, "avx2");
     stockham_simd_kernels!(k512, p512, "avx512f");
 
-    /// AVX2 per-stage dispatch: `s ≥ 2` runs the vector-across-`q` kernels
-    /// (stage `s` is a power of two, so no tails exist), the `s == 1`
-    /// radix-8 first stage runs the butterfly-batched kernel when at least
-    /// one full vector of butterflies exists. Returns `false` when only the
-    /// scalar body fits (n ≤ 8 first stages on this tier).
+    /// AVX2 per-stage dispatch: the vector-across-`q` kernels need
+    /// `s % LANES == 0` (no tails exist then), the `s == 1` radix-8 first
+    /// stage needs `m % LANES == 0` (its loads and twiddle reads run `LANES`
+    /// butterflies past `p`). Returns `false` when only the scalar body fits.
     #[target_feature(enable = "avx2")]
     pub(super) fn run_avx2(
         src: &[C64],
@@ -777,27 +820,27 @@ mod x86 {
         tw: &[C64],
         inverse: bool,
     ) -> bool {
-        let s = st.s;
+        let q_vec = st.s.is_multiple_of(p256::LANES);
+        let p_vec = st.s == 1 && st.m.is_multiple_of(p256::LANES);
         match (st.radix, inverse) {
-            (2, false) if s >= p256::LANES => k256::stage2::<false>(src, dst, st, tw),
-            (2, true) if s >= p256::LANES => k256::stage2::<true>(src, dst, st, tw),
-            (4, false) if s >= p256::LANES => k256::stage4::<false>(src, dst, st, tw),
-            (4, true) if s >= p256::LANES => k256::stage4::<true>(src, dst, st, tw),
-            (8, false) if s >= p256::LANES => k256::stage8::<false>(src, dst, st, tw),
-            (8, true) if s >= p256::LANES => k256::stage8::<true>(src, dst, st, tw),
-            (8, false) if s == 1 && st.m >= p256::LANES => {
-                k256::stage8_s1::<false>(src, dst, st, tw)
-            }
-            (8, true) if s == 1 && st.m >= p256::LANES => k256::stage8_s1::<true>(src, dst, st, tw),
+            (2, false) if q_vec => k256::stage2::<false>(src, dst, st, tw),
+            (2, true) if q_vec => k256::stage2::<true>(src, dst, st, tw),
+            (3, false) if q_vec => k256::stage3::<false>(src, dst, st, tw),
+            (3, true) if q_vec => k256::stage3::<true>(src, dst, st, tw),
+            (4, false) if q_vec => k256::stage4::<false>(src, dst, st, tw),
+            (4, true) if q_vec => k256::stage4::<true>(src, dst, st, tw),
+            (8, false) if q_vec => k256::stage8::<false>(src, dst, st, tw),
+            (8, true) if q_vec => k256::stage8::<true>(src, dst, st, tw),
+            (8, false) if p_vec => k256::stage8_s1::<false>(src, dst, st, tw),
+            (8, true) if p_vec => k256::stage8_s1::<true>(src, dst, st, tw),
             _ => return false,
         }
         true
     }
 
-    /// AVX-512 per-stage dispatch: full-width kernels where four butterflies
-    /// fit (`s ≥ 4`, or `m ≥ 4` in the first stage), otherwise the stage
-    /// drops to the AVX2 kernels (legal: `avx512f` implies `avx2`), and
-    /// from there to scalar.
+    /// AVX-512 per-stage dispatch: the same divisibility gates at four
+    /// lanes; a stage that fails them drops to the AVX2 kernels (legal:
+    /// `avx512f` implies `avx2`), and from there to scalar.
     #[target_feature(enable = "avx512f")]
     pub(super) fn run_avx512(
         src: &[C64],
@@ -806,18 +849,19 @@ mod x86 {
         tw: &[C64],
         inverse: bool,
     ) -> bool {
-        let s = st.s;
+        let q_vec = st.s.is_multiple_of(p512::LANES);
+        let p_vec = st.s == 1 && st.m.is_multiple_of(p512::LANES);
         match (st.radix, inverse) {
-            (2, false) if s >= p512::LANES => k512::stage2::<false>(src, dst, st, tw),
-            (2, true) if s >= p512::LANES => k512::stage2::<true>(src, dst, st, tw),
-            (4, false) if s >= p512::LANES => k512::stage4::<false>(src, dst, st, tw),
-            (4, true) if s >= p512::LANES => k512::stage4::<true>(src, dst, st, tw),
-            (8, false) if s >= p512::LANES => k512::stage8::<false>(src, dst, st, tw),
-            (8, true) if s >= p512::LANES => k512::stage8::<true>(src, dst, st, tw),
-            (8, false) if s == 1 && st.m >= p512::LANES => {
-                k512::stage8_s1::<false>(src, dst, st, tw)
-            }
-            (8, true) if s == 1 && st.m >= p512::LANES => k512::stage8_s1::<true>(src, dst, st, tw),
+            (2, false) if q_vec => k512::stage2::<false>(src, dst, st, tw),
+            (2, true) if q_vec => k512::stage2::<true>(src, dst, st, tw),
+            (3, false) if q_vec => k512::stage3::<false>(src, dst, st, tw),
+            (3, true) if q_vec => k512::stage3::<true>(src, dst, st, tw),
+            (4, false) if q_vec => k512::stage4::<false>(src, dst, st, tw),
+            (4, true) if q_vec => k512::stage4::<true>(src, dst, st, tw),
+            (8, false) if q_vec => k512::stage8::<false>(src, dst, st, tw),
+            (8, true) if q_vec => k512::stage8::<true>(src, dst, st, tw),
+            (8, false) if p_vec => k512::stage8_s1::<false>(src, dst, st, tw),
+            (8, true) if p_vec => k512::stage8_s1::<true>(src, dst, st, tw),
             _ => return run_avx2(src, dst, st, tw, inverse),
         }
         true

@@ -1,8 +1,8 @@
-//! Stockham autosort FFT for power-of-two sizes.
+//! Stockham autosort FFT for every smooth length `n = 2^a·3^b·5^c·7^d`.
 //!
-//! The workhorse of the overhauled kernel engine. Unlike the textbook
-//! Cooley–Tukey in [`radix`](crate::radix) (kept as the legacy/reference
-//! path), the Stockham formulation folds the reordering into the butterfly
+//! The workhorse of the kernel engine. Unlike the textbook Cooley–Tukey in
+//! [`radix`](crate::radix) (kept as the legacy/reference path for powers of
+//! two), the Stockham formulation folds the reordering into the butterfly
 //! stages themselves: each stage reads one buffer and writes the other in
 //! permuted order, so no bit-reversal pass ever touches the data. The inner
 //! loop of every stage walks `s` *contiguous* elements with the twiddle
@@ -10,10 +10,13 @@
 //! plan-build time and interned process-wide (see
 //! [`twiddle::stockham_tables`]).
 //!
-//! Stage radices are chosen by [`radix_decomposition`]: greedy radix-8
-//! butterflies (3 data passes for 512, the paper's production length,
-//! instead of 9 radix-2 passes), a radix-4 stage for the `4^k` tail, and a
-//! radix-2 cleanup stage when one factor of two remains.
+//! Stage radices are chosen by [`radix_decomposition`]: the power-of-two
+//! part first, as greedy radix-8 butterflies (3 data passes for 512, the
+//! paper's production length, instead of 9 radix-2 passes) plus one radix-4
+//! or radix-2 cleanup stage; then the odd radices 3, 5 and 7. Putting the
+//! odd stages last keeps every power-of-two stage at a power-of-two `s`
+//! and runs the odd stages at `s` divisible by `2^a`, so the SIMD kernels
+//! (which need `s` to be a lane multiple) cover them whenever `a ≥ 2`.
 //!
 //! [`twiddle::stockham_tables`]: crate::twiddle::stockham_tables
 
@@ -26,9 +29,38 @@ use std::sync::Arc;
 /// butterfly (`ω₈ = (FRAC_1_SQRT_2, -FRAC_1_SQRT_2)`).
 const H: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
-/// Splits `log₂ n` into butterfly radices: greedy 8s, then a radix-4 or
-/// radix-2 cleanup stage. `k = 0` (n = 1) yields no stages.
-pub fn radix_decomposition(mut k: u32) -> Vec<usize> {
+/// sin(2π/3) = √3/2, the radix-3 butterfly constant (cos(2π/3) = −1/2 is
+/// exact). Shared with the SIMD radix-3 kernels, which must round alike.
+pub(crate) const S3: f64 = 0.866_025_403_784_438_6;
+
+/// cos/sin(2π·k/5) for k = 1, 2, correctly rounded.
+const C51: f64 = 0.309_016_994_374_947_45;
+const C52: f64 = -0.809_016_994_374_947_5;
+const S51: f64 = 0.951_056_516_295_153_5;
+const S52: f64 = 0.587_785_252_292_473_1;
+
+/// cos/sin(2π·k/7) for k = 1, 2, 3, correctly rounded.
+const C71: f64 = 0.623_489_801_858_733_5;
+const C72: f64 = -0.222_520_933_956_314_4;
+const C73: f64 = -0.900_968_867_902_419_1;
+const S71: f64 = 0.781_831_482_468_029_8;
+const S72: f64 = 0.974_927_912_181_823_6;
+const S73: f64 = 0.433_883_739_117_558_1;
+
+/// Splits a smooth `n` into butterfly radices: greedy 8s over the
+/// power-of-two part with one radix-4 or radix-2 cleanup stage, then the
+/// odd factors in ascending order. Power-of-two lengths therefore keep the
+/// exact stage list they have always had. `n = 1` yields no stages.
+///
+/// # Panics
+/// If `n` has a prime factor above 7 (see [`crate::is_smooth`]).
+pub fn radix_decomposition(n: usize) -> Vec<usize> {
+    assert!(
+        crate::is_smooth(n),
+        "Stockham requires a smooth length 2^a·3^b·5^c·7^d, got {n}"
+    );
+    let mut k = n.trailing_zeros();
+    let mut odd = n >> k;
     let mut v = Vec::new();
     while k >= 3 {
         v.push(8);
@@ -39,10 +71,16 @@ pub fn radix_decomposition(mut k: u32) -> Vec<usize> {
     } else if k == 1 {
         v.push(2);
     }
+    for r in [3usize, 5, 7] {
+        while odd.is_multiple_of(r) {
+            v.push(r);
+            odd /= r;
+        }
+    }
     v
 }
 
-/// Precomputed state for a power-of-two Stockham transform of fixed size.
+/// Precomputed state for a Stockham transform of fixed smooth size.
 ///
 /// The per-stage twiddle tables are shared process-wide: two plans of equal
 /// length hold the same `Arc`, so a fresh plan build after the first costs
@@ -54,12 +92,9 @@ pub struct StockhamPlan {
 }
 
 impl StockhamPlan {
-    /// Builds a plan for size `n`, which must be a power of two.
+    /// Builds a plan for size `n`, which must be smooth
+    /// ([`crate::is_smooth`]; [`radix_decomposition`] panics otherwise).
     pub fn new(n: usize) -> Self {
-        assert!(
-            n.is_power_of_two(),
-            "StockhamPlan requires a power of two, got {n}"
-        );
         StockhamPlan {
             n,
             tables: twiddle::stockham_tables(n),
@@ -76,7 +111,7 @@ impl StockhamPlan {
         self.n <= 1
     }
 
-    /// Number of butterfly stages (3 per radix-8, 2 per radix-4, …).
+    /// Number of butterfly stages (one per entry of [`radix_decomposition`]).
     pub fn stages(&self) -> usize {
         self.tables.stages.len()
     }
@@ -134,6 +169,12 @@ impl StockhamPlan {
                 (4, true) => stage4::<true>(src, dst, st, tw),
                 (8, false) => stage8::<false>(src, dst, st, tw),
                 (8, true) => stage8::<true>(src, dst, st, tw),
+                (3, false) => stage_odd::<3, false>(src, dst, st, tw, bfly3::<false>),
+                (3, true) => stage_odd::<3, true>(src, dst, st, tw, bfly3::<true>),
+                (5, false) => stage_odd::<5, false>(src, dst, st, tw, bfly5::<false>),
+                (5, true) => stage_odd::<5, true>(src, dst, st, tw, bfly5::<true>),
+                (7, false) => stage_odd::<7, false>(src, dst, st, tw, bfly7::<false>),
+                (7, true) => stage_odd::<7, true>(src, dst, st, tw, bfly7::<true>),
                 (r, _) => unreachable!("unsupported Stockham radix {r}"),
             }
             std::mem::swap(&mut src, &mut dst);
@@ -339,6 +380,86 @@ fn stage8<const INV: bool>(src: &[C64], dst: &mut [C64], st: &StockhamStage, tw:
     }
 }
 
+/// Odd-radix (3, 5, 7) Stockham stage: gathers the `R` inputs
+/// `src[s(p+am)+q]` of each butterfly, runs `bfly`, and writes output `j`
+/// to `dst[s(Rp+j)+q]` times the stage twiddle `w^{jp}` (stored as
+/// `tw[(R-1)p + j-1]`; output 0 carries no twiddle). One body serves every
+/// odd radix; the SIMD radix-3 kernels mirror `bfly3` plus this twiddle
+/// step operation for operation.
+fn stage_odd<const R: usize, const INV: bool>(
+    src: &[C64],
+    dst: &mut [C64],
+    st: &StockhamStage,
+    tw: &[C64],
+    bfly: impl Fn([C64; R]) -> [C64; R],
+) {
+    let (m, s) = (st.m, st.s);
+    let ms = m * s;
+    for (p, (t, d)) in tw
+        .chunks_exact(R - 1)
+        .zip(dst.chunks_exact_mut(R * s))
+        .take(m)
+        .enumerate()
+    {
+        let x = &src[p * s..];
+        for q in 0..s {
+            let y = bfly(std::array::from_fn(|a| x[a * ms + q]));
+            d[q] = y[0];
+            for j in 1..R {
+                d[j * s + q] = y[j] * cj::<INV>(t[j - 1]);
+            }
+        }
+    }
+}
+
+/// 3-point DFT: `y₀ = x₀+t₁`, `y₁,₂ = (x₀ − t₁/2) ± rot(√3/2·(x₁−x₂))`
+/// with `t₁ = x₁+x₂`.
+#[inline(always)]
+fn bfly3<const INV: bool>([x0, x1, x2]: [C64; 3]) -> [C64; 3] {
+    let t1 = x1 + x2;
+    let t2 = x0 - t1.scale(0.5);
+    let t3 = rot::<INV>((x1 - x2).scale(S3));
+    [x0 + t1, t2 + t3, t2 - t3]
+}
+
+/// 5-point DFT over the symmetric pairs `a_k = x_k + x_{5-k}`,
+/// `b_k = x_k − x_{5-k}`: `y_j = t_j + rot(u_j)`, `y_{5-j} = t_j − rot(u_j)`
+/// with `t_j = x₀ + Σ cos(2πjk/5)·a_k` and `u_j = Σ sin(2πjk/5)·b_k`.
+#[inline(always)]
+fn bfly5<const INV: bool>([x0, x1, x2, x3, x4]: [C64; 5]) -> [C64; 5] {
+    let (a1, b1) = (x1 + x4, x1 - x4);
+    let (a2, b2) = (x2 + x3, x2 - x3);
+    let t1 = x0 + a1.scale(C51) + a2.scale(C52);
+    let t2 = x0 + a1.scale(C52) + a2.scale(C51);
+    let u1 = rot::<INV>(b1.scale(S51) + b2.scale(S52));
+    let u2 = rot::<INV>(b1.scale(S52) - b2.scale(S51));
+    [x0 + a1 + a2, t1 + u1, t2 + u2, t2 - u2, t1 - u1]
+}
+
+/// 7-point DFT, same symmetric-pair scheme as [`bfly5`] with three pairs
+/// (`cos/sin(2πjk/7)` reduced to the k = 1..3 constants).
+#[inline(always)]
+fn bfly7<const INV: bool>([x0, x1, x2, x3, x4, x5, x6]: [C64; 7]) -> [C64; 7] {
+    let (a1, b1) = (x1 + x6, x1 - x6);
+    let (a2, b2) = (x2 + x5, x2 - x5);
+    let (a3, b3) = (x3 + x4, x3 - x4);
+    let t1 = x0 + a1.scale(C71) + a2.scale(C72) + a3.scale(C73);
+    let t2 = x0 + a1.scale(C72) + a2.scale(C73) + a3.scale(C71);
+    let t3 = x0 + a1.scale(C73) + a2.scale(C71) + a3.scale(C72);
+    let u1 = rot::<INV>(b1.scale(S71) + b2.scale(S72) + b3.scale(S73));
+    let u2 = rot::<INV>(b1.scale(S72) - b2.scale(S73) - b3.scale(S71));
+    let u3 = rot::<INV>(b1.scale(S73) - b2.scale(S71) + b3.scale(S72));
+    [
+        x0 + a1 + a2 + a3,
+        t1 + u1,
+        t2 + u2,
+        t3 + u3,
+        t3 - u3,
+        t2 - u2,
+        t1 - u1,
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,16 +475,46 @@ mod tests {
     #[test]
     fn decomposition_covers_all_exponents() {
         for k in 0..=16u32 {
-            let r = radix_decomposition(k);
+            let r = radix_decomposition(1 << k);
             let prod: usize = r.iter().product::<usize>().max(1);
             assert_eq!(prod, 1usize << k, "k={k}: {r:?}");
             // At most one non-radix-8 stage, and only at the end.
             let tail: Vec<_> = r.iter().filter(|&&x| x != 8).collect();
             assert!(tail.len() <= 1, "k={k}: {r:?}");
         }
-        assert_eq!(radix_decomposition(9), vec![8, 8, 8]);
-        assert_eq!(radix_decomposition(4), vec![8, 2]);
-        assert_eq!(radix_decomposition(2), vec![4]);
+        assert_eq!(radix_decomposition(512), vec![8, 8, 8]);
+        assert_eq!(radix_decomposition(16), vec![8, 2]);
+        assert_eq!(radix_decomposition(4), vec![4]);
+    }
+
+    #[test]
+    fn smooth_decomposition_puts_odd_radices_last() {
+        assert_eq!(radix_decomposition(96), vec![8, 4, 3]);
+        assert_eq!(radix_decomposition(48), vec![8, 2, 3]);
+        assert_eq!(radix_decomposition(480), vec![8, 4, 3, 5]);
+        assert_eq!(radix_decomposition(500), vec![4, 5, 5, 5]);
+        assert_eq!(radix_decomposition(729), vec![3; 6]);
+        assert_eq!(radix_decomposition(6 * 7 * 8), vec![8, 2, 3, 7]);
+        assert!(radix_decomposition(1).is_empty());
+        for n in [6usize, 60, 105, 210, 360, 384, 2 * 3 * 5 * 7 * 64] {
+            let r = radix_decomposition(n);
+            assert_eq!(r.iter().product::<usize>(), n, "n={n}: {r:?}");
+            let first_odd = r.iter().position(|&x| x % 2 == 1).unwrap_or(r.len());
+            assert!(r[first_odd..].iter().all(|&x| x % 2 == 1), "n={n}: {r:?}");
+        }
+    }
+
+    #[test]
+    fn butterfly_constants_are_the_roots() {
+        use std::f64::consts::PI;
+        let close = |c: f64, x: f64| (c - x).abs() <= 2.0 * f64::EPSILON;
+        assert!(close(S3, (2.0 * PI / 3.0).sin()));
+        for (k, c, s) in [(1.0, C51, S51), (2.0, C52, S52)] {
+            assert!(close(c, (2.0 * PI * k / 5.0).cos()) && close(s, (2.0 * PI * k / 5.0).sin()));
+        }
+        for (k, c, s) in [(1.0, C71, S71), (2.0, C72, S72), (3.0, C73, S73)] {
+            assert!(close(c, (2.0 * PI * k / 7.0).cos()) && close(s, (2.0 * PI * k / 7.0).sin()));
+        }
     }
 
     #[test]
@@ -384,7 +535,7 @@ mod tests {
 
     #[test]
     fn inverse_matches_dft() {
-        for n in [2usize, 8, 16, 64, 128, 512] {
+        for n in [2usize, 8, 16, 64, 128, 512, 3, 5, 7, 10, 14, 45, 243] {
             let plan = StockhamPlan::new(n);
             let x = ramp(n);
             let mut fast = x.clone();
@@ -434,9 +585,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_non_pow2() {
-        let _ = StockhamPlan::new(12);
+    #[should_panic(expected = "smooth length")]
+    fn rejects_non_smooth() {
+        let _ = StockhamPlan::new(22);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! tables are interned here: the first request for a length pays the `O(n)`
 //! trig cost, every later plan shares the same allocation via `Arc`.
 //!
-//! The table for length `n` holds all `n` roots. The radix-2 engine only
-//! reads the first `n/2` entries; the mixed-radix engine reads all of them.
-//! Both index into the same shared table so a `Radix2Plan` and a
-//! `MixedPlan` of equal size share storage, as does the power-of-two
-//! convolution plan inside every Bluestein plan.
+//! The table for length `n` holds all `n` roots. The radix-2 engine reads
+//! the first `n/2` entries; the Stockham stage tables copy theirs out of
+//! it, and the r2c untangle/retangle kernels read it per bin. All of them
+//! index into the same shared table, so every consumer of one length
+//! agrees on twiddles to the last bit.
 
 use crate::complex::C64;
 use std::collections::BTreeMap;
@@ -48,7 +48,7 @@ pub fn forward_table(n: usize) -> Arc<[C64]> {
 /// `m` twiddle rows of `s` contiguous elements each (`radix·m·s == n`).
 #[derive(Debug, Clone, Copy)]
 pub struct StockhamStage {
-    /// Butterfly width: 2, 4, or 8.
+    /// Butterfly width: 2, 3, 4, 5, 7, or 8.
     pub radix: usize,
     /// Number of distinct twiddle rows in this stage (`n_cur / radix`).
     pub m: usize,
@@ -63,8 +63,8 @@ pub struct StockhamStage {
 /// Stage `{radix: r, m, s}` stores `(r-1)` forward twiddles per row `p`:
 /// `w^{jp}` for `j = 1..r` where `w = e^{-2πi/(r·m)}`. Every entry is taken
 /// verbatim from the length-`n` root table (`w^{jp} = root_n[(j·p·s) % n]`,
-/// using `n_cur·s == n`), so Stockham, radix-2, and mixed-radix plans of
-/// equal size agree on twiddles to the last bit.
+/// using `n_cur·s == n`, which holds for any radix), so Stockham and
+/// radix-2 plans of equal size agree on twiddles to the last bit.
 #[derive(Debug)]
 pub struct StockhamTables {
     /// Stage descriptors, outermost (s = 1) first.
@@ -73,16 +73,15 @@ pub struct StockhamTables {
     pub tw: Vec<C64>,
 }
 
-/// Returns the shared Stockham stage tables for power-of-two length `n`.
+/// Returns the shared Stockham stage tables for smooth length `n`
+/// (stage radices from [`radix_decomposition`]).
 ///
 /// First request per length builds the tables from [`forward_table`] (one
 /// shared trig computation); later requests are an intern-map lookup. Hits
 /// and misses fold into the same counters as the root tables.
+///
+/// [`radix_decomposition`]: crate::stockham::radix_decomposition
 pub fn stockham_tables(n: usize) -> Arc<StockhamTables> {
-    assert!(
-        n.is_power_of_two(),
-        "Stockham tables require a power of two, got {n}"
-    );
     let tables = STAGE_TABLES.get_or_init(|| Mutex::new(BTreeMap::new()));
     {
         let map = tables.lock().unwrap_or_else(|e| e.into_inner());
@@ -96,12 +95,13 @@ pub fn stockham_tables(n: usize) -> Arc<StockhamTables> {
     // the trig work should not serialize unrelated lookups.
     MISSES.fetch_add(1, Ordering::Relaxed);
     fftobs::count("fftkern.twiddle.stage_miss", 1);
+    let radices = crate::stockham::radix_decomposition(n);
     let root = forward_table(n);
     let mut stages = Vec::new();
     let mut tw = Vec::new();
     let mut s = 1usize;
     let mut n_cur = n;
-    for r in crate::stockham::radix_decomposition(n.trailing_zeros()) {
+    for r in radices {
         let m = n_cur / r;
         stages.push(StockhamStage {
             radix: r,
@@ -171,5 +171,14 @@ mod tests {
                 assert!((w.re - 1.0).abs() < 1e-15 && w.im.abs() < 1e-15);
             }
         }
+    }
+
+    #[test]
+    fn smooth_stage_tables_follow_the_decomposition() {
+        // 96 = 8·4·3: (m=12,s=1), (m=3,s=8), (m=1,s=32).
+        let t = stockham_tables(96);
+        let geo: Vec<_> = t.stages.iter().map(|st| (st.radix, st.m, st.s)).collect();
+        assert_eq!(geo, vec![(8, 12, 1), (4, 3, 8), (3, 1, 32)]);
+        assert_eq!(t.tw.len(), 7 * 12 + 3 * 3 + 2);
     }
 }

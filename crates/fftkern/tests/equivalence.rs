@@ -1,10 +1,11 @@
-//! Exhaustive engine-equivalence suite (ISSUE 4 satellite).
+//! Exhaustive engine-equivalence suite.
 //!
 //! Sweeps every power of two in {2..4096} × batch {1, 3, 16} × layout
 //! {contiguous, strided} and checks that the Stockham engine, the legacy
 //! radix-2 engine, and (for small sizes) the naive O(N²) DFT all agree, and
 //! that forward∘inverse is the identity within `1e-9·log₂(n)` after
-//! normalization.
+//! normalization. Smooth non-power-of-two lengths (radix-3/5/7 Stockham
+//! stages) get the same oracle and round-trip sweep.
 
 use fftkern::dft::dft_1d;
 use fftkern::plan::{Layout, Plan1d};
@@ -134,6 +135,63 @@ fn out_of_place_matches_inplace_both_engines() {
                         .map(|c| (c.re.to_bits(), c.im.to_bits()))
                         .collect::<Vec<_>>(),
                     "in/out-of-place differ: {engine:?} n={n} batch={batch} {layout_name}"
+                );
+            }
+        }
+    }
+}
+
+/// Smooth non-power-of-two lengths: pure odd radices (3, 5, 7, 15, 21, 35,
+/// 105, 729), pow2 × odd mixes with ragged first stages (6, 12, 48), and
+/// the production-style grids (60, 96, 210, 360, 384, 480, 500).
+const SMOOTH: [usize; 18] = [
+    3, 5, 6, 7, 12, 15, 21, 35, 48, 60, 96, 105, 210, 360, 384, 480, 500, 729,
+];
+
+#[test]
+fn stockham_vs_dft_all_smooth_batches_layouts() {
+    for n in SMOOTH {
+        for batch in [1usize, 3, 16] {
+            for (layout, layout_name) in layouts(n, batch) {
+                let x = signal(n * batch);
+                let plan = Plan1d::with_layout(n, batch, layout, layout);
+                assert_eq!(plan.algo_name(), "stockham", "n={n}");
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let mut a = x.clone();
+                    plan.execute_inplace(&mut a, dir);
+                    for b in 0..batch {
+                        let oracle = dft_1d(&gather(&x, layout, n, b), dir);
+                        let got = gather(&a, layout, n, b);
+                        assert!(
+                            max_abs_diff(&got, &oracle) < 1e-9 * n as f64,
+                            "stockham vs DFT diverge: n={n} batch={batch} \
+                             {layout_name} {dir:?} line={b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn forward_inverse_identity_all_smooth_batches_layouts() {
+    for n in SMOOTH {
+        for batch in [1usize, 3, 16] {
+            for (layout, layout_name) in layouts(n, batch) {
+                let x = signal(n * batch);
+                let plan = Plan1d::with_layout(n, batch, layout, layout);
+                let mut y = x.clone();
+                plan.execute_inplace(&mut y, Direction::Forward);
+                plan.execute_inplace(&mut y, Direction::Inverse);
+                let inv_n = 1.0 / n as f64;
+                for v in y.iter_mut() {
+                    *v = v.scale(inv_n);
+                }
+                let tol = 1e-9 * (n as f64).log2();
+                assert!(
+                    max_abs_diff(&y, &x) < tol,
+                    "roundtrip drift: n={n} batch={batch} {layout_name}"
                 );
             }
         }

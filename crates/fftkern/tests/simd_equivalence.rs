@@ -1,4 +1,4 @@
-//! SIMD × scalar × naive-DFT cross-checks (ISSUE 6 tentpole).
+//! SIMD × scalar × naive-DFT cross-checks.
 //!
 //! The vector kernels in `fftkern::simd` claim **bit-identity** with the
 //! scalar Stockham stage bodies — not "close", identical, because every
@@ -6,7 +6,7 @@
 //! elementwise, the complex multiply differs only by a commutative IEEE
 //! addition, rotations are sign flips). This suite holds them to it with
 //! `to_bits` comparisons across every tier the host supports, over packed
-//! and strided layouts, pow2 / mixed-radix / Bluestein lengths, both
+//! and strided layouts, pow2 / smooth / Bluestein lengths, both
 //! directions — and cross-checks the values against the O(N²) DFT oracle
 //! so "all tiers agree on garbage" cannot pass.
 //!
@@ -126,8 +126,9 @@ fn simd_matches_naive_dft_not_just_itself() {
 #[test]
 fn plan1d_bitwise_identical_across_tiers_layouts_and_algorithms() {
     // End-to-end through Plan1d: pow2 (Stockham direct + cache-blocked
-    // strided tiles), mixed-radix smooth sizes, and Bluestein primes (whose
-    // pow2 convolution rides the Stockham engine) — packed and strided.
+    // strided tiles), smooth sizes (radix-3/5/7 stages), and Bluestein
+    // primes (whose pow2 convolution rides the Stockham engine) — packed
+    // and strided.
     let _g = TIER_LOCK.lock().unwrap();
     let tiers = available_tiers();
     for n in [16usize, 512, 1024, 60, 360, 499, 97] {
@@ -211,6 +212,54 @@ fn roundtrip_under_each_tier() {
                 "tier {} n={n}",
                 tier.name()
             );
+        }
+    }
+}
+
+#[test]
+fn smooth_lengths_bitwise_identical_across_tiers_and_match_dft() {
+    // Smooth lengths put the SIMD gates to work: 6/24/48 have first stages
+    // whose `m` is not a lane multiple, 729 has only odd `s` (all scalar),
+    // 500 and 6·7·8 mix vector pow2 stages with scalar radix-5/7 ones, and
+    // 96/384/480 run the vector radix-3 kernel.
+    let _g = TIER_LOCK.lock().unwrap();
+    let tiers = available_tiers();
+    for n in [6usize, 24, 48, 96, 384, 480, 500, 729, 6 * 7 * 8] {
+        for batch in [1usize, 4] {
+            for layout in [Layout::contiguous(n), Layout::strided(batch)] {
+                let plan = Plan1d::with_layout(n, batch, layout, layout);
+                assert_eq!(plan.algo_name(), "stockham");
+                let x = signal(plan.required_input_len());
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let reference = with_tier(SimdTier::Scalar, || {
+                        let mut d = x.clone();
+                        plan.execute_inplace(&mut d, dir);
+                        d
+                    });
+                    for &tier in &tiers {
+                        let got = with_tier(tier, || {
+                            let mut d = x.clone();
+                            plan.execute_inplace(&mut d, dir);
+                            d
+                        });
+                        assert_eq!(
+                            bits(&got),
+                            bits(&reference),
+                            "tier {} diverges at n={n} batch={batch} \
+                             stride={} {dir:?}",
+                            tier.name(),
+                            layout.stride
+                        );
+                    }
+                    if batch == 1 {
+                        let slow = dft_1d(&x, dir);
+                        assert!(
+                            max_abs_diff(&reference, &slow) < 1e-9 * n as f64,
+                            "n={n} {dir:?} vs DFT"
+                        );
+                    }
+                }
+            }
         }
     }
 }
